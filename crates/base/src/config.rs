@@ -1,10 +1,10 @@
 //! Typed, process-wide runtime options for the `recon` workspace.
 //!
-//! Historically each crate grew its own environment-variable escape hatch
-//! (`RECON_IBLT_FORCE_SCALAR`, `RECON_RUNTIME_FORCE_POLL`,
-//! `RECON_PROTOCOL_FORCE_SEQ_IO`) with a private `AtomicBool` + `OnceLock`
-//! parse. This module replaces those three copies with one typed [`Options`]
-//! struct:
+//! Three fallback paths can be pinned from outside the process, each by one
+//! environment variable (`RECON_IBLT_FORCE_SCALAR`, `RECON_RUNTIME_FORCE_POLL`,
+//! `RECON_IBLT_FORCE_PEEL_ONLY`). Rather than each crate keeping a private
+//! `AtomicBool` + `OnceLock` parse, this module holds all three in one typed
+//! [`Options`] struct:
 //!
 //! * **programmatic override is the first-class path** — [`set`] /
 //!   [`Options::apply`] from code, or the per-flag setters like
@@ -16,9 +16,10 @@
 //!   which is the programmatic setting OR the environment shim.
 //!
 //! The flags are process-global because what they select is process-global:
-//! which CPU kernel dispatch table, which poller syscall, which stream I/O
-//! path. They exist so differential tests and CI can pin the fallback paths;
-//! every path is bit-identical, so these options change performance only.
+//! which CPU kernel dispatch table, which poller syscall, whether IBLT decodes
+//! may fall back to the rescue solver. They exist so differential tests and CI
+//! can pin the fallback paths. The kernel and poller paths are bit-identical,
+//! so those two options change performance only.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -36,9 +37,6 @@ pub struct Options {
     /// Pin the runtime's readiness poller to `poll(2)` instead of epoll, as
     /// `RECON_RUNTIME_FORCE_POLL` used to.
     pub force_poll_backend: bool,
-    /// Pin stream transports to sequential (one buffer per syscall) I/O
-    /// instead of `readv`/`writev`, as `RECON_PROTOCOL_FORCE_SEQ_IO` used to.
-    pub force_sequential_io: bool,
     /// Disable the IBLT decode-rescue solver: a stalled peel is a hard
     /// failure, exactly as before the GF(2) rescue path existed
     /// (`RECON_IBLT_FORCE_PEEL_ONLY`). Unlike the other flags this changes
@@ -56,13 +54,11 @@ impl Options {
     /// |---|---|
     /// | `RECON_IBLT_FORCE_SCALAR` | [`Options::force_scalar_kernels`] |
     /// | `RECON_RUNTIME_FORCE_POLL` | [`Options::force_poll_backend`] |
-    /// | `RECON_PROTOCOL_FORCE_SEQ_IO` | [`Options::force_sequential_io`] |
     /// | `RECON_IBLT_FORCE_PEEL_ONLY` | [`Options::force_peel_only`] |
     pub fn from_env() -> Self {
         Self {
             force_scalar_kernels: env_flag("RECON_IBLT_FORCE_SCALAR"),
             force_poll_backend: env_flag("RECON_RUNTIME_FORCE_POLL"),
-            force_sequential_io: env_flag("RECON_PROTOCOL_FORCE_SEQ_IO"),
             force_peel_only: env_flag("RECON_IBLT_FORCE_PEEL_ONLY"),
         }
     }
@@ -87,7 +83,6 @@ fn env_options() -> Options {
 
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 static FORCE_POLL: AtomicBool = AtomicBool::new(false);
-static FORCE_SEQ_IO: AtomicBool = AtomicBool::new(false);
 static FORCE_PEEL_ONLY: AtomicBool = AtomicBool::new(false);
 
 /// Install `options` as the process-wide programmatic setting, replacing any
@@ -98,7 +93,6 @@ static FORCE_PEEL_ONLY: AtomicBool = AtomicBool::new(false);
 pub fn set(options: Options) {
     FORCE_SCALAR.store(options.force_scalar_kernels, Ordering::Relaxed);
     FORCE_POLL.store(options.force_poll_backend, Ordering::Relaxed);
-    FORCE_SEQ_IO.store(options.force_sequential_io, Ordering::Relaxed);
     FORCE_PEEL_ONLY.store(options.force_peel_only, Ordering::Relaxed);
 }
 
@@ -109,7 +103,6 @@ pub fn current() -> Options {
     Options {
         force_scalar_kernels: FORCE_SCALAR.load(Ordering::Relaxed) || env.force_scalar_kernels,
         force_poll_backend: FORCE_POLL.load(Ordering::Relaxed) || env.force_poll_backend,
-        force_sequential_io: FORCE_SEQ_IO.load(Ordering::Relaxed) || env.force_sequential_io,
         force_peel_only: FORCE_PEEL_ONLY.load(Ordering::Relaxed) || env.force_peel_only,
     }
 }
@@ -122,11 +115,6 @@ pub fn set_force_scalar_kernels(force: bool) {
 /// Programmatically force (or release) the `poll(2)` poller backend.
 pub fn set_force_poll_backend(force: bool) {
     FORCE_POLL.store(force, Ordering::Relaxed);
-}
-
-/// Programmatically force (or release) sequential stream I/O.
-pub fn set_force_sequential_io(force: bool) {
-    FORCE_SEQ_IO.store(force, Ordering::Relaxed);
 }
 
 /// Programmatically force (or release) peel-only IBLT decoding (no rescue).
@@ -142,11 +130,6 @@ pub fn scalar_kernels_forced() -> bool {
 /// Effective value of [`Options::force_poll_backend`].
 pub fn poll_backend_forced() -> bool {
     FORCE_POLL.load(Ordering::Relaxed) || env_options().force_poll_backend
-}
-
-/// Effective value of [`Options::force_sequential_io`].
-pub fn sequential_io_forced() -> bool {
-    FORCE_SEQ_IO.load(Ordering::Relaxed) || env_options().force_sequential_io
 }
 
 /// Effective value of [`Options::force_peel_only`].
@@ -169,20 +152,13 @@ mod tests {
         set(Options {
             force_scalar_kernels: true,
             force_poll_backend: true,
-            force_sequential_io: true,
             force_peel_only: true,
         });
         assert!(scalar_kernels_forced());
         assert!(poll_backend_forced());
-        assert!(sequential_io_forced());
         assert!(peel_only_forced());
         let all_on = current();
-        assert!(
-            all_on.force_scalar_kernels
-                && all_on.force_poll_backend
-                && all_on.force_sequential_io
-                && all_on.force_peel_only
-        );
+        assert!(all_on.force_scalar_kernels && all_on.force_poll_backend && all_on.force_peel_only);
 
         // Per-flag setters agree with the bulk setter.
         set_force_scalar_kernels(false);
@@ -199,7 +175,6 @@ mod tests {
         let opts = Options::from_env();
         assert_eq!(opts.force_scalar_kernels, env_flag("RECON_IBLT_FORCE_SCALAR"));
         assert_eq!(opts.force_poll_backend, env_flag("RECON_RUNTIME_FORCE_POLL"));
-        assert_eq!(opts.force_sequential_io, env_flag("RECON_PROTOCOL_FORCE_SEQ_IO"));
         assert_eq!(opts.force_peel_only, env_flag("RECON_IBLT_FORCE_PEEL_ONLY"));
     }
 }

@@ -1,8 +1,9 @@
 //! Endpoint multiplexing: N concurrent sessions over ONE framed link vs one
-//! link (and its framing) per session vs the raw unframed `MemoryLink` path.
+//! link (and its framing) per session vs the raw unframed in-memory
+//! `SessionBuilder::run` path.
 //!
 //! The wall-time comparison shows what the multiplexed `Endpoint` costs over
-//! the blocking driver; the printed byte accounting records the baseline the
+//! the in-memory driver; the printed byte accounting records the baseline the
 //! ROADMAP's connection-reuse item is about — how many framed bytes per
 //! session a shared link saves versus a link per session.
 
@@ -87,7 +88,9 @@ fn run_one_link_per_session(pairs: &[(HashSet<u64>, HashSet<u64>)]) -> u64 {
     framed
 }
 
-/// The raw blocking path: no framing at all, one `MemoryLink` per session.
+/// The raw in-memory path: no framing at all, one `SessionBuilder::run` per
+/// session. Benchmarked as `memory_link_sequential`, the name the committed
+/// baseline records.
 fn run_memory_link(pairs: &[(HashSet<u64>, HashSet<u64>)]) -> usize {
     let mut metered = 0;
     for (i, (alice, bob)) in pairs.iter().enumerate() {

@@ -17,9 +17,7 @@ pub mod prelude {
     pub use recon_field::{Fp, Poly};
     pub use recon_graph::{degree_neighborhood, degree_order, forest, general, Forest, Graph};
     pub use recon_iblt::{Iblt, IbltConfig};
-    pub use recon_protocol::{
-        Amplification, Envelope, Outcome, Party, Session, SessionBuilder, Step,
-    };
+    pub use recon_protocol::{Amplification, Envelope, Outcome, Party, SessionBuilder, Step};
     pub use recon_runtime::{
         connect_endpoint, drive_endpoint, Poller, Reactor, ReactorConfig, Server, ServerConfig,
         TcpService,

@@ -966,7 +966,10 @@ impl Decode for Iblt {
         let key_bytes = read_uvarint(buf)? as usize;
         let hash_count = read_uvarint(buf)? as usize;
         let cell_count = read_uvarint(buf)? as usize;
-        if key_bytes == 0 || hash_count == 0 {
+        // Every table `build` makes has at least `hash_count` cells, and the
+        // cell count is bounded by the remaining bytes below, so this also
+        // bounds the hash plan's seed allocation by the input.
+        if key_bytes == 0 || hash_count == 0 || hash_count > cell_count {
             return Err(WireError::Invalid("IBLT header"));
         }
         let seed = u64::decode(buf)?;
@@ -1355,6 +1358,19 @@ mod tests {
             parsed.delete_u64(k);
         }
         assert!(parsed.is_empty());
+    }
+
+    #[test]
+    fn decode_rejects_a_hash_count_above_the_cell_count() {
+        // uvarint(8) ‖ uvarint(2^40) ‖ uvarint(0) ‖ seed: 16 bytes that used to
+        // make `HashPlan::new` allocate 2^40 seeds and abort the process.
+        let mut payload = Vec::new();
+        write_uvarint(&mut payload, 8);
+        write_uvarint(&mut payload, 1 << 40);
+        write_uvarint(&mut payload, 0);
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(payload.len(), 16);
+        assert!(matches!(Iblt::from_bytes(&payload), Err(WireError::Invalid("IBLT header"))));
     }
 
     #[test]

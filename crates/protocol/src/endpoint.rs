@@ -2,13 +2,13 @@
 //! [`Transport`], plus the [`ShardedRunner`] that fans a partitioned workload
 //! out across such sessions.
 //!
-//! Where [`Session::run`](crate::Session::run) drives exactly one blocking
-//! reconciliation per link, an `Endpoint` owns any number of
+//! Where [`SessionBuilder::run`](crate::SessionBuilder::run) drives exactly
+//! one reconciliation in memory, an `Endpoint` owns any number of
 //! [`SessionCore`]s, each identified by a [`SessionId`] both peers agreed on,
 //! and pumps them all through a single byte stream: [`Endpoint::poll`] drains
 //! every session's outgoing envelopes into session-tagged [`Frame`]s, then
 //! dispatches every arrived frame to its session. Per-session [`Transcript`]s
-//! apply exactly the metering of [`MemoryLink`](crate::MemoryLink), so a
+//! apply exactly the metering of [`SessionBuilder::run`](crate::SessionBuilder::run), so a
 //! protocol multiplexed across a shared connection reports the same
 //! [`CommStats`] as the same protocol run alone — amortizing transport setup
 //! without distorting the paper's accounting.
@@ -190,7 +190,7 @@ impl<T: Transport> Endpoint<T> {
     /// finish and treat a no-progress iteration as "waiting on the peer".
     pub fn poll(&mut self) -> Result<bool, ReconError> {
         let mut progressed = self.pump_sends()?;
-        while let Some(frame) = self.transport.fill_vectored()? {
+        while let Some(frame) = self.transport.recv()? {
             progressed = true;
             self.dispatch(frame)?;
         }
@@ -213,10 +213,10 @@ impl<T: Transport> Endpoint<T> {
     pub fn poll_ready(&mut self, readable: bool, writable: bool) -> Result<bool, ReconError> {
         let mut progressed = false;
         if writable {
-            self.transport.drain_vectored()?;
+            self.transport.flush()?;
         }
         if readable {
-            while let Some(frame) = self.transport.fill_vectored()? {
+            while let Some(frame) = self.transport.recv()? {
                 progressed = true;
                 self.dispatch(frame)?;
             }
@@ -251,7 +251,7 @@ impl<T: Transport> Endpoint<T> {
                 self.transport.send(&Frame::fin(id))?;
             }
         }
-        self.transport.drain_vectored()?;
+        self.transport.flush()?;
         Ok(progressed)
     }
 
@@ -283,8 +283,8 @@ impl<T: Transport> Endpoint<T> {
             FrameBody::Envelope(envelope) => {
                 if slot.finished() {
                     // Late frame after local completion/failure; drop it, like
-                    // the blocking driver drops undelivered envelopes once the
-                    // receiving party returns its output.
+                    // `SessionBuilder::run` drops undelivered envelopes once
+                    // the receiving party returns its output.
                     return Ok(());
                 }
                 envelope.record_into(&mut slot.transcript, slot.role.incoming());

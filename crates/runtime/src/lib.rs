@@ -8,17 +8,17 @@
 //! * [`sys`] — `extern "C"` bindings for `epoll`, `poll(2)`, `O_NONBLOCK`,
 //!   `readv`/`writev` and `SO_REUSEPORT` listeners; the crate's only `unsafe`
 //!   module, mirroring `crates/iblt/src/kernels.rs`.
-//! * [`Poller`] — one blocking wait over many descriptors, with an epoll
-//!   backend on Linux (level- or edge-triggered via [`Trigger`]) and a
-//!   portable `poll(2)` fallback selected at runtime
-//!   (`RECON_RUNTIME_FORCE_POLL`, or [`Poller::with_backend`] in code).
+//! * [`Poller`] — one blocking wait over many descriptors, with an
+//!   edge-triggered epoll backend on Linux and a portable, level-triggered
+//!   `poll(2)` fallback selected at runtime (`RECON_RUNTIME_FORCE_POLL`, or
+//!   [`Poller::with_backend`] in code).
 //! * [`TimerWheel`] — hashed-wheel deadlines for sessions that stall.
 //! * [`Reactor`] — many multiplexed [`Endpoint`]s over [`Pollable`] stream
 //!   transports, pumped only on readiness ([`Endpoint::poll_ready`]), with
 //!   precise write-interest re-arming ([`Endpoint::is_write_blocked`]),
-//!   per-session deadlines, and graceful `Fin` draining. Edge-triggered by
-//!   default: the transports drain to `WouldBlock` on every event anyway, so
-//!   the kernel skips re-scanning still-ready descriptors. [`drive_endpoint`]
+//!   per-session deadlines, and graceful `Fin` draining. The transports drain
+//!   to `WouldBlock` on every event, so edge-triggered epoll lets the kernel
+//!   skip re-scanning still-ready descriptors. [`drive_endpoint`]
 //!   is the single-connection client-side loop on the same machinery.
 //! * [`Server`] — N worker reactors serving TCP, accepting either on
 //!   per-worker `SO_REUSEPORT` listeners (sharded, the Linux default) or via
@@ -48,7 +48,7 @@ pub mod server;
 pub mod sys;
 pub mod timer;
 
-pub use poller::{Backend, Event, Interest, Poller, Trigger};
+pub use poller::{Backend, Event, Interest, Poller};
 pub use reactor::{
     drive_endpoint, drive_endpoint_with_retry, ConnId, Finished, Reactor, ReactorConfig, Waker,
 };

@@ -28,7 +28,7 @@
 //! allocates nothing per session. Sessions never cross threads after
 //! registration, which is what lets the endpoint layer stay `!Send`.
 
-use crate::poller::{Backend, Interest, Poller, Trigger};
+use crate::poller::{Backend, Interest, Poller};
 use crate::reactor::{ConnId, Reactor, ReactorConfig};
 use crate::sys;
 use recon_base::rng::Xoshiro256;
@@ -118,9 +118,6 @@ pub struct ServerConfig {
     pub session_deadline: Option<Duration>,
     /// Pin the poller backend for the acceptor and all workers.
     pub backend: Option<Backend>,
-    /// Readiness delivery mode for the worker reactors (edge-triggered by
-    /// default; see [`ReactorConfig::trigger`]).
-    pub trigger: Trigger,
     /// Accept topology; defaults to sharded on Linux, balanced elsewhere.
     pub accept_mode: AcceptMode,
     /// Seed for the balancer's two random worker choices (balanced mode).
@@ -149,7 +146,6 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(4),
             session_deadline: Some(Duration::from_secs(30)),
             backend: None,
-            trigger: Trigger::Edge,
             accept_mode: AcceptMode::default(),
             accept_seed: 0x2C01CE5,
             max_frame_bytes: 16 << 20,
@@ -181,12 +177,6 @@ impl ServerConfig {
     /// Pin the poller backend.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
-        self
-    }
-
-    /// Set the readiness delivery mode.
-    pub fn trigger(mut self, trigger: Trigger) -> Self {
-        self.trigger = trigger;
         self
     }
 
@@ -392,7 +382,6 @@ impl Server {
             let reactor_config = ReactorConfig {
                 session_deadline: config.session_deadline,
                 backend: config.backend,
-                trigger: config.trigger,
                 // Disjoint id ranges so connection ids are process-unique.
                 first_conn_id: (worker as ConnId) << 48,
                 retry: config.retry,
@@ -706,23 +695,28 @@ fn accept_loop(
     seed: u64,
 ) {
     let mut wake_rx = wake_rx;
-    let mut poller = match backend {
-        Some(backend) => Poller::with_backend(backend),
-        None => Poller::new(),
-    }
-    .expect("acceptor poller");
+    let mut poller = Poller::with_config(backend).expect("acceptor poller");
     poller.register(listener.as_raw_fd(), 0, Interest::READ).expect("register listener");
     poller.register(wake_rx.as_raw_fd(), 1, Interest::READ).expect("register acceptor waker");
     let mut rng = Xoshiro256::new(seed);
     let mut events = Vec::new();
+    let mut retry_accept = false;
 
     while !stop.load(Ordering::SeqCst) {
-        if poller.wait(&mut events, Some(Duration::from_millis(500))).is_err() {
+        if retry_accept {
+            // A transient accept error left a connection pending. Edge-triggered
+            // epoll will not report the listener again for it, and waiting
+            // would park it until the next arrival; back off instead (so an
+            // EMFILE that persists until fds free up cannot hot-loop this
+            // thread) and retry `accept` directly. poll(2) with no
+            // descriptors is a pure kernel-timed wait.
+            let _ = sys::poll_fds(&mut [], 50);
+        } else if poller.wait(&mut events, Some(Duration::from_millis(500))).is_err() {
             break;
         }
         let mut drain = [0u8; 64];
         while matches!(wake_rx.read(&mut drain), Ok(n) if n > 0) {}
-        let mut transient_error = false;
+        retry_accept = false;
         loop {
             match listener.accept() {
                 Ok((stream, peer)) => {
@@ -739,19 +733,12 @@ fn accept_loop(
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 // Aborted handshakes, fd exhaustion (EMFILE), and other
-                // transient errors: keep serving, but back off below.
+                // transient errors: keep serving, but back off and retry above.
                 Err(_) => {
-                    transient_error = true;
+                    retry_accept = true;
                     break;
                 }
             }
-        }
-        if transient_error {
-            // The pending connection keeps the listener level-triggered
-            // readable, so an un-accepted error (EMFILE until fds free up)
-            // would otherwise hot-loop this thread. poll(2) with no
-            // descriptors is a pure kernel-timed wait.
-            let _ = sys::poll_fds(&mut [], 50);
         }
     }
 }

@@ -113,8 +113,8 @@ impl Workload {
         }
     }
 
-    /// Expected per-family stats from the solo blocking path (one
-    /// `MemoryLink` each) — the equivalence baseline.
+    /// Expected per-family stats from the solo in-memory path (one
+    /// `SessionBuilder::run` each) — the equivalence baseline.
     fn expected(&self) -> Vec<CommStats> {
         let mut expected = Vec::with_capacity(FAMILIES);
         expected.push(

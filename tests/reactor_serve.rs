@@ -2,22 +2,21 @@
 //! serving ≥8 concurrent TCP client connections, each multiplexing *mixed
 //! protocol families* (unknown-`d` set reconciliation, known-`d` IBLT set
 //! reconciliation, cascading set-of-sets), with every recovery and every
-//! per-session [`CommStats`] asserted byte-identical to the blocking
+//! per-session [`CommStats`] asserted byte-identical to the in-memory
 //! `SessionBuilder` driver running the very same party pairs.
 //!
-//! The suite runs three ways: on the default backend in its default
-//! edge-triggered mode (epoll-ET on Linux), on epoll pinned back to
-//! level-triggered delivery, and on the portable `poll(2)` fallback — every
-//! recovery and every counter must be identical across all three, because
+//! The suite runs two ways: on the default backend (edge-triggered epoll on
+//! Linux) and on the portable, level-triggered `poll(2)` fallback — every
+//! recovery and every counter must be identical across both, because
 //! readiness delivery is an implementation detail the protocol cannot see. CI
 //! additionally repeats the whole test binary under
-//! `RECON_RUNTIME_FORCE_POLL=1` (and under `RECON_PROTOCOL_FORCE_SEQ_IO=1`),
-//! which exercises the environment-variable selection paths end to end.
+//! `RECON_RUNTIME_FORCE_POLL=1`, which exercises the environment-variable
+//! selection path end to end.
 
 use recon_base::ReconError;
 use recon_protocol::{Amplification, Outcome, Party, Role, SessionBuilder, SessionId};
 use recon_runtime::{
-    drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService, Trigger,
+    drive_endpoint, Backend, ReactorConfig, Server, ServerConfig, TcpEndpoint, TcpService,
 };
 use recon_set::session as set_session;
 use recon_sos::workload::{generate_pair, WorkloadParams};
@@ -123,12 +122,7 @@ struct ClientRecoveries {
 
 /// One reactor client: dial, run all three sessions readiness-driven, return
 /// the outcomes.
-fn run_client(
-    addr: SocketAddr,
-    client: u64,
-    backend: Option<Backend>,
-    trigger: Trigger,
-) -> ClientRecoveries {
+fn run_client(addr: SocketAddr, client: u64, backend: Option<Backend>) -> ClientRecoveries {
     let mut endpoint = recon_runtime::connect_endpoint(addr).expect("connect");
     endpoint.register(UNKNOWN_SET, Role::Bob, bob_unknown(client)).expect("register");
     endpoint.register(KNOWN_SET, Role::Bob, bob_known(client)).expect("register");
@@ -137,7 +131,6 @@ fn run_client(
     let config = ReactorConfig {
         session_deadline: Some(Duration::from_secs(60)),
         backend,
-        trigger,
         ..ReactorConfig::default()
     };
     let (mut unknown, mut known, mut sos) = (None, None, None);
@@ -158,30 +151,26 @@ fn run_client(
 }
 
 /// Serve `CLIENTS` concurrent mixed-family connections on `WORKERS` worker
-/// reactors and check every outcome against the blocking driver.
-fn serve_and_verify(backend: Option<Backend>, trigger: Trigger) {
-    let mut config = ServerConfig::new()
-        .workers(WORKERS)
-        .session_deadline(Some(Duration::from_secs(60)))
-        .trigger(trigger);
+/// reactors and check every outcome against the in-memory driver.
+fn serve_and_verify(backend: Option<Backend>) {
+    let mut config =
+        ServerConfig::new().workers(WORKERS).session_deadline(Some(Duration::from_secs(60)));
     config.backend = backend;
     let server = Server::bind("127.0.0.1:0", config, |_| MixedFamilies).expect("bind");
     let addr = server.local_addr();
 
     let handles: Vec<_> = (0..CLIENTS as u64)
-        .map(|client| {
-            std::thread::spawn(move || (client, run_client(addr, client, backend, trigger)))
-        })
+        .map(|client| std::thread::spawn(move || (client, run_client(addr, client, backend))))
         .collect();
     for handle in handles {
         let (client, got) = handle.join().expect("client thread");
 
-        // The blocking path: identical party pairs through SessionBuilder.
+        // The in-memory path: identical party pairs through SessionBuilder.
         let expected_unknown =
-            builder().run(alice_unknown(), bob_unknown(client)).expect("blocking unknown");
+            builder().run(alice_unknown(), bob_unknown(client)).expect("in-memory unknown");
         let expected_known =
-            builder().run(alice_known(), bob_known(client)).expect("blocking known");
-        let expected_sos = builder().run(alice_sos(), bob_sos()).expect("blocking sos");
+            builder().run(alice_known(), bob_known(client)).expect("in-memory known");
+        let expected_sos = builder().run(alice_sos(), bob_sos()).expect("in-memory sos");
 
         assert_eq!(got.unknown.recovered, expected_unknown.recovered, "client {client} unknown");
         assert_eq!(got.unknown.stats, expected_unknown.stats, "client {client} unknown stats");
@@ -199,21 +188,13 @@ fn serve_and_verify(backend: Option<Backend>, trigger: Trigger) {
 
 #[test]
 fn reactor_serves_eight_mixed_family_connections() {
-    // Default backend and trigger: edge-triggered epoll on Linux (unless
+    // Default backend: edge-triggered epoll on Linux (unless
     // RECON_RUNTIME_FORCE_POLL is set, as in CI's forced-poll leg, where this
     // whole test runs on poll(2)).
-    serve_and_verify(None, Trigger::Edge);
-}
-
-#[test]
-fn reactor_serves_eight_mixed_family_connections_level_triggered() {
-    // Same default backend pinned to level-triggered delivery: on Linux this
-    // is classic epoll-LT; under the poll fallback it is a no-op distinction
-    // (poll(2) is always level-triggered).
-    serve_and_verify(None, Trigger::Level);
+    serve_and_verify(None);
 }
 
 #[test]
 fn reactor_serves_eight_mixed_family_connections_on_poll_fallback() {
-    serve_and_verify(Some(Backend::Poll), Trigger::Level);
+    serve_and_verify(Some(Backend::Poll));
 }

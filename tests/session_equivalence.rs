@@ -1,7 +1,7 @@
 //! Transport-equivalence tests for the sans-I/O session layer.
 //!
 //! Every protocol family is driven two ways: through the one-shot drivers (which
-//! delegate to `recon_protocol::Session` over an in-memory link) and *manually*,
+//! delegate to `recon_protocol::SessionBuilder::run` in memory) and *manually*,
 //! message by message, with each [`Envelope`] serialized to bytes and decoded on
 //! the far side — the way two separate processes would exchange them. The
 //! recovered data and the measured [`CommStats`] must agree byte for byte: the
@@ -28,14 +28,14 @@ use recon_sos::{
 use std::collections::HashSet;
 
 /// Drive a party pair by hand, pushing every envelope through a serialize →
-/// deserialize round trip, and account for it exactly like `MemoryLink` does.
+/// deserialize round trip, and account for it exactly like `SessionBuilder::run` does.
 fn drive_over_bytes<A: Party, B: Party>(
     mut alice: A,
     mut bob: B,
 ) -> Result<(B::Output, CommStats), ReconError> {
-    // Deliberately an *independent* reimplementation of MemoryLink's metering
-    // rather than a call into it: the one-shot drivers under test already run
-    // through MemoryLink, so reusing it here would make the accounting
+    // Deliberately an *independent* reimplementation of the in-memory
+    // driver's metering rather than a call into it: the one-shot drivers under
+    // test already run through `SessionBuilder::run`, so reusing it here would make the accounting
     // comparison tautological. If the Meter rules change in one place and not
     // the other, these tests fail loudly instead of agreeing by construction.
     fn record(transcript: &mut Transcript, direction: Direction, envelope: &Envelope) {
@@ -365,11 +365,11 @@ fn forest_session_matches_driver() {
 }
 
 // ---------------------------------------------------------------------------
-// Framed transport (Endpoint over MemoryTransport) vs MemoryLink
+// Framed transport (Endpoint over MemoryTransport) vs SessionBuilder::run
 // ---------------------------------------------------------------------------
 
 /// Per family: the framed multiplexed path reports byte-identical `CommStats`
-/// to the blocking `MemoryLink` path, on both endpoints.
+/// to the in-memory `SessionBuilder::run` path, on both endpoints.
 #[test]
 fn framed_transport_matches_memory_link_per_family() {
     let seed = 0xF4A3;
@@ -523,7 +523,7 @@ fn framed_transport_matches_memory_link_per_family() {
 /// Body of the nine-session acceptance test, shared with the kernel-dispatch
 /// equivalence test below: runs the full mixed-family suite (nine concurrent
 /// sessions over one framed transport, each checked against its solo
-/// `MemoryLink` twin), asserts every recovery, and returns the per-session
+/// in-memory twin), asserts every recovery, and returns the per-session
 /// stats so callers can compare whole runs against each other.
 fn run_nine_session_suite() -> Vec<CommStats> {
     use recon_graph::degree_order::DegreeOrderParams;
@@ -535,7 +535,7 @@ fn run_nine_session_suite() -> Vec<CommStats> {
     let mut alice_end = Endpoint::new(transport_a);
     let mut bob_end = Endpoint::new(transport_b);
 
-    // Expected outcomes from the legacy blocking path, one `MemoryLink` each.
+    // Expected outcomes from the in-memory path, one `SessionBuilder::run` each.
     let mut expected: Vec<CommStats> = Vec::new();
 
     // Sessions 0-2: three plain-set protocols on distinct data.
@@ -756,7 +756,7 @@ fn run_nine_session_suite() -> Vec<CommStats> {
     for id in 0..9u64 {
         let alice_stats = alice_end.close(id).expect("alice side registered");
         let stats = take(&mut bob_end, id);
-        assert_eq!(stats, expected[id as usize], "session {id} vs MemoryLink");
+        assert_eq!(stats, expected[id as usize], "session {id} vs SessionBuilder::run");
         assert_eq!(alice_stats, expected[id as usize], "session {id} alice side");
         per_session.push(stats);
     }
@@ -766,7 +766,7 @@ fn run_nine_session_suite() -> Vec<CommStats> {
 /// One endpoint pair multiplexes nine concurrent sessions spanning all three
 /// protocol layers (plain sets, sets of sets, graphs) over a single framed
 /// byte stream, and every session's `CommStats` is byte-identical to the same
-/// protocol run alone through the legacy `MemoryLink` path.
+/// protocol run alone through the in-memory `SessionBuilder::run` path.
 #[test]
 fn one_endpoint_drives_nine_concurrent_mixed_family_sessions() {
     let per_session = run_nine_session_suite();
@@ -802,7 +802,7 @@ fn forced_scalar_kernels_match_dispatched_nine_session_suite() {
 // ---------------------------------------------------------------------------
 
 /// Sharded set reconciliation: every shard's stats equal the same shard run
-/// alone over a `MemoryLink`, the merged stats are their exact sum, and the
+/// alone through `SessionBuilder::run`, the merged stats are their exact sum, and the
 /// whole thing is deterministic across runs.
 #[test]
 fn sharded_set_stats_match_solo_memory_link_shards() {
@@ -817,7 +817,7 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
     assert_eq!(outcome.recovered, alice);
     assert_eq!(outcome.per_shard.len(), 5);
 
-    // Each shard individually, through the legacy blocking path.
+    // Each shard individually, through the in-memory path.
     let alice_shards = recon_set::shard_set(&alice, &runner);
     let bob_shards = recon_set::shard_set(&bob, &runner);
     for (shard, stats) in outcome.per_shard.iter().enumerate() {
@@ -834,7 +834,7 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
                 set_session::iblt_known_bob(&bob_shards[shard], &config),
             )
             .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs MemoryLink");
+        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
         assert_eq!(solo.recovered, alice_shards[shard]);
     }
 
@@ -857,7 +857,7 @@ fn sharded_set_stats_match_solo_memory_link_shards() {
     assert_eq!(outcome, again);
 }
 
-/// Sharded set-of-sets reconciliation: per-shard stats equal solo MemoryLink
+/// Sharded set-of-sets reconciliation: per-shard stats equal solo in-memory
 /// runs of the same shard parties and the merged stats sum deterministically.
 #[test]
 fn sharded_sos_stats_match_solo_memory_link_shards() {
@@ -897,7 +897,7 @@ fn sharded_sos_stats_match_solo_memory_link_shards() {
                 sos_session::naive_known_bob(&bob_shards[shard], &shard_params, amplification),
             )
             .expect("solo shard run");
-        assert_eq!(*stats, solo.stats, "shard {shard} vs MemoryLink");
+        assert_eq!(*stats, solo.stats, "shard {shard} vs SessionBuilder::run");
     }
     assert_eq!(
         outcome.stats.total_bytes(),
