@@ -215,7 +215,11 @@ impl<T: Decode> Decode for Vec<T> {
         if len > buf.len() {
             return Err(WireError::Invalid("sequence length exceeds remaining bytes"));
         }
-        let mut out = Vec::with_capacity(len);
+        // Reserve no more than the remaining bytes could fill at the element's
+        // in-memory size: `len × size_of::<T>()` up front would let a few
+        // bytes of header claim far more memory than the message carries.
+        // Real input grows the vector as elements actually decode.
+        let mut out = Vec::with_capacity(len.min(buf.len() / std::mem::size_of::<T>().max(1)));
         for _ in 0..len {
             out.push(T::decode(buf)?);
         }

@@ -5,7 +5,7 @@
 //! Each iteration dials `CONNS` clients concurrently and waits until every
 //! recovery completes — so `mean / CONNS` is the wall-clock cost per served
 //! session and its inverse the sessions/sec at that worker count. The server
-//! (and its listener, balancer and reactors) persists across iterations; only
+//! (its listeners and reactors) persists across iterations; only
 //! the connections churn, which is the serving-path cost this bench is about.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -206,11 +206,15 @@ impl Decode for L0Estimator {
         let buckets = read_uvarint(buf)? as usize;
         let threshold = read_uvarint(buf)? as usize;
         let seed = u64::decode(buf)?;
-        if reps == 0 || levels == 0 || buckets == 0 || reps > 1024 || levels > 64 {
+        // `buckets >= 4` is what `L0Estimator::new` asserts; the checked
+        // product keeps a crafted header from wrapping the counter count.
+        if reps == 0 || levels == 0 || buckets < 4 || reps > 1024 || levels > 64 {
             return Err(WireError::Invalid("l0 estimator header"));
         }
+        let Some(per_rep) = levels.checked_mul(buckets) else {
+            return Err(WireError::Invalid("l0 estimator header"));
+        };
         let cfg = L0Config { reps, levels, buckets, threshold, seed };
-        let per_rep = levels * buckets;
         let packed = per_rep.div_ceil(4);
         let mut counters = Vec::with_capacity(reps);
         for _ in 0..reps {
@@ -331,6 +335,27 @@ mod tests {
         let bytes = alice.to_bytes();
         assert!(L0Estimator::from_bytes(&bytes[..bytes.len() - 1]).is_err());
         assert!(L0Estimator::from_bytes(&[0xFF; 3]).is_err());
+    }
+
+    fn header(reps: u64, levels: u64, buckets: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        for field in [reps, levels, buckets, 8] {
+            write_uvarint(&mut bytes, field);
+        }
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn decode_rejects_an_overflowing_or_undersized_header() {
+        // 64 levels × 2^59 buckets overflows usize: a debug build panicked and
+        // a release build wrapped to zero counters and decoded "successfully".
+        let invalid = Err(WireError::Invalid("l0 estimator header"));
+        assert_eq!(L0Estimator::from_bytes(&header(1, 64, 1 << 59)), invalid);
+        // Fewer than 4 buckets per level is a config `L0Estimator::new` refuses.
+        let mut tiny = header(1, 1, 3);
+        tiny.push(0);
+        assert_eq!(L0Estimator::from_bytes(&tiny), invalid);
     }
 
     #[test]

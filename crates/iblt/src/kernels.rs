@@ -17,10 +17,11 @@
 //!
 //! * The AVX2 path is used iff the CPU reports AVX2 at runtime **and** the scalar
 //!   override is off. Detection runs once and is cached.
-//! * The override is engaged either by the `RECON_IBLT_FORCE_SCALAR` environment
-//!   variable (any value but `0`/`false`/empty, read once per process) or
-//!   programmatically via [`force_scalar_kernels`] — a process-global knob meant
-//!   for differential tests and benchmarks, not for production tuning.
+//! * The override is [`recon_base::config::scalar_kernels_forced`]: the
+//!   `RECON_IBLT_FORCE_SCALAR` environment variable (any value but
+//!   `0`/`false`/empty, read once per process), or [`force_scalar_kernels`] from
+//!   code — a process-global switch for differential tests and for running the
+//!   path a CPU without AVX2 takes, not for production tuning.
 
 // The only unsafe code in this crate: `std::arch` intrinsic calls, each gated on
 // the runtime AVX2 check and operating strictly in-bounds.

@@ -16,7 +16,6 @@
 
 use crate::kernels;
 use crate::rescue::{self, DecodeBudget};
-use recon_base::config;
 use recon_base::hash::{hash64, hash_bytes, hash_bytes8};
 use recon_base::rng::split_seed;
 use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
@@ -51,9 +50,8 @@ pub struct IbltConfig {
     /// the classic pure-partition layout.
     pub stash_cells: usize,
     /// Budget for the GF(2) decode-rescue pipeline ([`crate::rescue`]); `None`
-    /// makes a stalled peel a hard failure, exactly as before the rescue path
-    /// existed. The effective value is also gated by
-    /// [`recon_base::config::peel_only_forced`].
+    /// makes a stalled peel a hard failure: the peel-only reference the
+    /// rescue tests and the sizing bench compare against.
     pub rescue: Option<DecodeBudget>,
     /// Use the retightened per-difference layout table (hash count and
     /// cells-per-difference chosen by expected difference) instead of the flat
@@ -449,8 +447,7 @@ impl Iblt {
         self.stash_cells
     }
 
-    /// The decode-rescue budget this table will use (before the
-    /// [`recon_base::config::peel_only_forced`] gate).
+    /// The decode-rescue budget this table will use (`None`: peel only).
     pub fn rescue_budget(&self) -> Option<DecodeBudget> {
         self.rescue
     }
@@ -674,8 +671,10 @@ impl Iblt {
     pub fn decode_in_place(&mut self) -> DecodeResult {
         let mut result = DecodeResult::default();
         self.peel_in_place(&mut result);
-        if let Some(budget) = self.rescue_in_effect() {
-            rescue::rescue_in_place(self, &mut result, &[], budget);
+        if !self.is_empty() {
+            if let Some(budget) = self.rescue {
+                rescue::rescue_in_place(self, &mut result, &[], budget);
+            }
         }
         result.complete = self.is_empty();
         result
@@ -695,7 +694,7 @@ impl Iblt {
         let mut result = DecodeResult::default();
         self.peel_in_place(&mut result);
         if !self.is_empty() {
-            if let Some(budget) = self.rescue_in_effect() {
+            if let Some(budget) = self.rescue {
                 let owned: Vec<K> = negative_candidates.into_iter().collect();
                 let refs: Vec<&[u8]> = owned
                     .iter()
@@ -719,7 +718,7 @@ impl Iblt {
         let mut result = DecodeResult::default();
         self.peel_in_place(&mut result);
         if !self.is_empty() {
-            if let Some(budget) = self.rescue_in_effect() {
+            if let Some(budget) = self.rescue {
                 let kb = self.key_bytes;
                 let keys: Vec<Vec<u8>> = negative_candidates
                     .into_iter()
@@ -735,16 +734,6 @@ impl Iblt {
         }
         result.complete = self.is_empty();
         result
-    }
-
-    /// The rescue budget actually in effect for this decode: the table's
-    /// configured budget, unless peel-only decoding is forced process-wide.
-    fn rescue_in_effect(&self) -> Option<DecodeBudget> {
-        if self.is_empty() || config::peel_only_forced() {
-            None
-        } else {
-            self.rescue
-        }
     }
 
     /// Run the peeling loop to exhaustion, appending recovered keys to

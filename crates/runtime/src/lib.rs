@@ -20,17 +20,16 @@
 //!   to `WouldBlock` on every event, so edge-triggered epoll lets the kernel
 //!   skip re-scanning still-ready descriptors. [`drive_endpoint`]
 //!   is the single-connection client-side loop on the same machinery.
-//! * [`Server`] — N worker reactors serving TCP, accepting either on
-//!   per-worker `SO_REUSEPORT` listeners (sharded, the Linux default) or via
-//!   a central listener with two-choice least-loaded balancing
-//!   ([`AcceptMode`]), each worker recycling connection buffers through a
-//!   `BufferPool`.
+//! * [`Server`] — N worker reactors serving TCP, each accepting on a
+//!   listener of its own (a per-worker `SO_REUSEPORT` listener on Linux, a
+//!   clone of one shared listener elsewhere) and recycling connection
+//!   buffers through a `BufferPool`.
 //!
 //! What stays out: protocol logic (the parties, sessions and accounting live
 //! in `recon-protocol` and the family crates, unchanged), and any form of
 //! work-stealing between reactors — sessions are single-threaded state
-//! machines, so a connection lives its whole life on the worker the balancer
-//! picked.
+//! machines, so a connection lives its whole life on the worker that
+//! accepted it.
 //!
 //! [`SessionCore`]: recon_protocol::SessionCore
 //! [`Endpoint`]: recon_protocol::Endpoint
@@ -53,8 +52,7 @@ pub use reactor::{
     drive_endpoint, drive_endpoint_with_retry, ConnId, Finished, Reactor, ReactorConfig, Waker,
 };
 pub use server::{
-    connect_endpoint, AcceptMode, Server, ServerConfig, ServerStats, TcpEndpoint, TcpService,
-    TcpTransport,
+    connect_endpoint, Server, ServerConfig, ServerStats, TcpEndpoint, TcpService, TcpTransport,
 };
 #[cfg(target_os = "linux")]
 pub use sys::reuseport_listener;

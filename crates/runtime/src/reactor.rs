@@ -22,7 +22,8 @@
 //!
 //! The reactor is single-threaded by design — sessions are `!Sync` state
 //! machines — and scales across cores by running one reactor per worker
-//! thread; see [`Server`](crate::Server) for the accept-and-balance layer.
+//! thread; see [`Server`](crate::Server) for the layer that runs one per
+//! worker, each accepting its own connections.
 
 use crate::poller::{Backend, Event, Interest, Poller};
 use crate::sys;

@@ -22,10 +22,9 @@
 //! session, and one `Endpoint` per connection multiplexes all of them.
 //!
 //! Where the PR-2 version hand-pumped a single connection with
-//! `std::thread::sleep` backoff, the server is now a [`Server`]: a
-//! non-blocking listener balancing accepted connections across two worker
-//! [`Reactor`]s (least-loaded-of-two-choices), each driving its endpoints
-//! purely off epoll/`poll(2)` readiness — idle connections cost nothing, and
+//! `std::thread::sleep` backoff, the server is now a [`Server`]: two worker
+//! [`Reactor`]s, each accepting on its own non-blocking listener and driving
+//! its endpoints purely off epoll/`poll(2)` readiness — idle connections cost nothing, and
 //! the process serves any number of concurrent clients. Clients run the same
 //! machinery single-connection via [`drive_endpoint`]. Set
 //! `RECON_RUNTIME_FORCE_POLL=1` to exercise the portable `poll(2)` backend.
