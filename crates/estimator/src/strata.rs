@@ -99,6 +99,25 @@ impl StrataEstimator {
 
     /// Merge with another estimator built from the same configuration.
     pub fn merge(&self, other: &StrataEstimator) -> Result<StrataEstimator, ReconError> {
+        // "Merging" the A-side of one estimator with the B-side of the other is
+        // cellwise addition; since Side::B updates are deletions, adding the
+        // signed tables leaves exactly the difference encoding.
+        self.combine(other, Iblt::add_assign)
+    }
+
+    /// Subtract another estimator built from the same configuration, cell by
+    /// cell. A B-side update is a deletion, so subtracting a peer's A-side
+    /// estimator is bit-identical to merging with its B-side one: two A-side
+    /// estimators size a pair without either side keeping a B-side mirror.
+    pub fn subtract(&self, other: &StrataEstimator) -> Result<StrataEstimator, ReconError> {
+        self.combine(other, Iblt::subtract_assign)
+    }
+
+    fn combine(
+        &self,
+        other: &StrataEstimator,
+        op: fn(&mut Iblt, &Iblt) -> Result<(), ReconError>,
+    ) -> Result<StrataEstimator, ReconError> {
         if self.cfg != other.cfg {
             return Err(ReconError::InvalidInput(
                 "cannot merge strata estimators with different configurations".to_string(),
@@ -106,10 +125,7 @@ impl StrataEstimator {
         }
         let mut out = self.clone();
         for (mine, theirs) in out.strata.iter_mut().zip(&other.strata) {
-            // "Merging" the A-side of one estimator with the B-side of the other is
-            // cellwise addition; since Side::B updates are deletions, adding the
-            // signed tables leaves exactly the difference encoding.
-            mine.add_assign(theirs).expect("same geometry");
+            op(mine, theirs).expect("same geometry");
         }
         Ok(out)
     }
@@ -233,10 +249,34 @@ mod tests {
     }
 
     #[test]
+    fn subtracting_a_sides_equals_merging_with_a_b_side() {
+        // Two churned sets sharing most keys: A_i − A_j must be bit-identical
+        // to A_i + B_j, and the estimate must not depend on the order.
+        let cfg = StrataConfig::default().with_seed(23);
+        let churned = |offset: u64, side: Side| {
+            let mut estimator = StrataEstimator::new(&cfg);
+            for x in offset..offset + 2000 {
+                estimator.update(x, side);
+                if x % 5 == 0 {
+                    estimator.remove(x, side);
+                }
+            }
+            estimator
+        };
+        let (a_i, a_j, b_j) = (churned(0, Side::A), churned(40, Side::A), churned(40, Side::B));
+        let subtracted = a_i.subtract(&a_j).unwrap();
+        assert_eq!(subtracted, a_i.merge(&b_j).unwrap());
+        let estimate = subtracted.estimate();
+        assert_eq!(estimate, a_j.subtract(&a_i).unwrap().estimate());
+        assert!((32..=128).contains(&estimate), "64 true differences, estimate {estimate}");
+    }
+
+    #[test]
     fn merge_requires_same_config() {
         let a = StrataEstimator::new(&StrataConfig::default().with_seed(1));
         let b = StrataEstimator::new(&StrataConfig::default().with_seed(2));
         assert!(a.merge(&b).is_err());
+        assert!(a.subtract(&b).is_err());
     }
 
     #[test]

@@ -4,41 +4,27 @@
 //! Each round draws a perfect matching from a seeded Fisher–Yates shuffle
 //! (`split_seed(seed, round)` — replayable, machine-independent) and runs one
 //! **bidirectional** exchange per pair: two ordinary IBLT sessions
-//! multiplexed over a single connection, one per direction, both served from
-//! the members' *cached* rung banks (`member::cached_alice`) and sized by one
-//! symmetric strata estimate per pair. After an exchange both ends hold the
-//! pair's union, so every key spreads to an expected `2^r` members after `r`
-//! rounds — convergence in `O(log n)` rounds whp, which the tests and the
+//! multiplexed over one in-process [`MemoryTransport`] pair driven by
+//! [`drive_pair`], one session per direction. Each is served from the
+//! sending replica's *cached* rung bank by
+//! [`Replica::digest_envelope`] — the daemon's rule, so a retry rebuilds at
+//! the same rung — and both are sized by one symmetric strata estimate per
+//! pair ([`Replica::estimate_bound_with`]). After an exchange both ends hold
+//! the pair's union, so every key spreads to an expected `2^r` members after
+//! `r` rounds — convergence in `O(log n)` rounds whp, which the tests and the
 //! `fleet_converge` bench both observe.
-//!
-//! Exchanges run either in-process ([`GossipTransport::Memory`], endpoints
-//! driven by [`drive_pair`]) or over real TCP sockets
-//! ([`GossipTransport::Tcp`], each end driven by [`drive_endpoint`] on its
-//! own thread) — same sessions, same bytes, pinned by tests.
 
-use crate::member::{cached_alice, Member};
 use crate::stats::{FleetStats, Ledger, RoundStats};
 use crate::FleetRunner;
 use recon_base::rng::{split_seed, Xoshiro256};
 use recon_base::ReconError;
 use recon_protocol::{
-    drive_pair, Endpoint, MemoryTransport, Outcome, Role, SessionId, StreamTransport,
+    drive_pair, AmplifiedSender, Endpoint, MemoryTransport, Outcome, Party, Role, SessionId,
 };
-use recon_runtime::{connect_endpoint, drive_endpoint, ReactorConfig, TcpEndpoint};
-use recon_store::ReplicaParams;
+use recon_set::session::iblt_known_bob;
+use recon_store::{Replica, ReplicaParams};
 use std::collections::HashSet;
-use std::net::TcpListener;
-use std::sync::{Arc, Mutex};
-
-/// How gossip exchanges move bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GossipTransport {
-    /// In-process [`MemoryTransport`] pairs driven by [`drive_pair`].
-    Memory,
-    /// Real loopback TCP sockets, each end driven by [`drive_endpoint`] on
-    /// its own thread.
-    Tcp,
-}
+use std::sync::Arc;
 
 /// Tuning for a [`GossipRunner`].
 #[derive(Debug, Clone)]
@@ -51,21 +37,14 @@ pub struct GossipConfig {
     /// Retry budget per session.
     pub max_attempts: u64,
     /// Fixed difference bound per exchange; `None` sizes each pair with a
-    /// strata estimate (one merge per pair, symmetric in the directions).
+    /// strata estimate (one subtraction per pair, symmetric in the
+    /// directions).
     pub d_bound: Option<usize>,
-    /// How exchange bytes move.
-    pub transport: GossipTransport,
 }
 
 impl Default for GossipConfig {
     fn default() -> Self {
-        Self {
-            seed: 0xF1EE7,
-            ladder: vec![16, 64, 256],
-            max_attempts: 4,
-            d_bound: None,
-            transport: GossipTransport::Memory,
-        }
+        Self { seed: 0xF1EE7, ladder: vec![16, 64, 256], max_attempts: 4, d_bound: None }
     }
 }
 
@@ -73,7 +52,7 @@ impl Default for GossipConfig {
 /// peer's full set plus that session's stats.
 type PairOutcomes = (Outcome<HashSet<u64>>, Outcome<HashSet<u64>>);
 
-/// Session id of the accept-side → connect-side direction of an exchange.
+/// Session id of the `i` → `j` direction of an exchange.
 const PUSH: SessionId = 1;
 /// Session id of the opposite direction.
 const PULL: SessionId = 2;
@@ -82,7 +61,9 @@ const PULL: SessionId = 2;
 pub struct GossipRunner {
     config: GossipConfig,
     params: ReplicaParams,
-    members: Vec<Arc<Mutex<Member>>>,
+    /// Shared with a session's Alice only while its exchange runs, so
+    /// [`Arc::make_mut`] never copies between rounds.
+    members: Vec<Arc<Replica>>,
     ledger: Ledger,
 }
 
@@ -100,7 +81,13 @@ impl GossipRunner {
         };
         let members = sets
             .into_iter()
-            .map(|set| Ok(Arc::new(Mutex::new(Member::from_keys(params.clone(), set)?))))
+            .map(|set| {
+                let mut replica = Replica::new(params.clone())?;
+                for key in set {
+                    replica.insert(key);
+                }
+                Ok(Arc::new(replica))
+            })
             .collect::<Result<Vec<_>, ReconError>>()?;
         let ledger = Ledger::new(members.len());
         Ok(Self { config, params, members, ledger })
@@ -113,24 +100,24 @@ impl GossipRunner {
 
     /// Insert `key` into member `replica` (churn injection between rounds).
     pub fn insert(&mut self, replica: usize, key: u64) -> bool {
-        self.members[replica].lock().expect("member lock").insert(key)
+        Arc::make_mut(&mut self.members[replica]).insert(key)
     }
 
     /// Remove `key` from member `replica`. Gossip merges are unions, so a
     /// removed key survives on — and will be resown from — every other
     /// member that holds it; convergence is still to a common set.
     pub fn remove(&mut self, replica: usize, key: u64) -> bool {
-        self.members[replica].lock().expect("member lock").remove(key)
+        Arc::make_mut(&mut self.members[replica]).remove(key)
     }
 
-    /// Member `replica`'s current key set (cloned).
+    /// The current key set of member `replica` (cloned).
     pub fn keys(&self, replica: usize) -> HashSet<u64> {
-        self.members[replica].lock().expect("member lock").keys().clone()
+        self.members[replica].keys().clone()
     }
 
-    /// Member `replica`'s whole-set hash.
+    /// The whole-set hash of member `replica`.
     pub fn set_hash(&self, replica: usize) -> u64 {
-        self.members[replica].lock().expect("member lock").set_hash()
+        self.members[replica].set_hash()
     }
 
     /// This round's matching: a seeded shuffle chunked into pairs (one
@@ -149,118 +136,39 @@ impl GossipRunner {
     fn pair_bound(&self, i: usize, j: usize) -> Result<usize, ReconError> {
         match self.config.d_bound {
             Some(d) => Ok(d),
-            None => {
-                let a = self.members[i].lock().expect("member lock");
-                let b = self.members[j].lock().expect("member lock");
-                let (_, rung) = a.estimate_bound(&b)?;
-                Ok(rung)
-            }
+            None => Ok(self.members[i].estimate_bound_with(&self.members[j])?.1),
         }
+    }
+
+    /// Alice's side of a session served from member `i`'s cached banks.
+    fn alice(&self, i: usize, d: usize) -> Result<impl Party<Output = ()>, ReconError> {
+        let replica = Arc::clone(&self.members[i]);
+        AmplifiedSender::new(self.params.max_attempts, move |attempt| {
+            replica.digest_envelope(d, attempt)
+        })
+    }
+
+    /// Bob's side for member `i`: a completely ordinary [`iblt_known_bob`]
+    /// over its current keys.
+    fn bob(&self, i: usize) -> impl Party<Output = HashSet<u64>> {
+        iblt_known_bob(self.members[i].keys(), &self.params.session_config())
     }
 
     /// Run the `(i, j)` exchange, returning `(outcome_for_i, outcome_for_j)`
     /// — each side's recovery of the peer's full set, with that session's
     /// stats.
     fn exchange(&self, i: usize, j: usize, d: usize) -> Result<PairOutcomes, ReconError> {
-        match self.config.transport {
-            GossipTransport::Memory => self.exchange_memory(i, j, d),
-            GossipTransport::Tcp => self.exchange_tcp(i, j, d),
-        }
-    }
-
-    fn exchange_memory(&self, i: usize, j: usize, d: usize) -> Result<PairOutcomes, ReconError> {
         let (transport_i, transport_j) = MemoryTransport::pair();
         let mut end_i = Endpoint::new(transport_i);
         let mut end_j = Endpoint::new(transport_j);
-        end_i.register(PUSH, Role::Alice, cached_alice(&self.members[i], d)?)?;
-        end_j.register(
-            PUSH,
-            Role::Bob,
-            self.members[j].lock().expect("member lock").bob_party(),
-        )?;
-        end_j.register(PULL, Role::Alice, cached_alice(&self.members[j], d)?)?;
-        end_i.register(
-            PULL,
-            Role::Bob,
-            self.members[i].lock().expect("member lock").bob_party(),
-        )?;
+        end_i.register(PUSH, Role::Alice, self.alice(i, d)?)?;
+        end_j.register(PUSH, Role::Bob, self.bob(j))?;
+        end_j.register(PULL, Role::Alice, self.alice(j, d)?)?;
+        end_i.register(PULL, Role::Bob, self.bob(i))?;
         drive_pair(&mut end_i, &mut end_j)?;
         let for_j = end_j.take_outcome::<HashSet<u64>>(PUSH).expect("driven to completion")?;
         let for_i = end_i.take_outcome::<HashSet<u64>>(PULL).expect("driven to completion")?;
         Ok((for_i, for_j))
-    }
-
-    fn exchange_tcp(&self, i: usize, j: usize, d: usize) -> Result<PairOutcomes, ReconError> {
-        fn io_err(context: &str, e: std::io::Error) -> ReconError {
-            ReconError::Transport(format!("gossip tcp {context}: {e}"))
-        }
-        let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| io_err("bind", e))?;
-        let addr = listener.local_addr().map_err(|e| io_err("local addr", e))?;
-
-        // Parties are built up front (they are `Send`; an `Endpoint` is not,
-        // so each side's endpoint is assembled on the thread that drives it).
-        let alice_i = cached_alice(&self.members[i], d)?;
-        let bob_i = self.members[i].lock().expect("member lock").bob_party();
-        let alice_j = cached_alice(&self.members[j], d)?;
-        let bob_j = self.members[j].lock().expect("member lock").bob_party();
-
-        // One readiness loop per endpoint, each on its own thread: a session
-        // is retired once its Bob outcome is taken and the peer's Fin closed
-        // the Alice side, exactly like a daemon client.
-        fn drive_side(
-            endpoint: &mut TcpEndpoint,
-            bob_session: SessionId,
-            alice_session: SessionId,
-        ) -> Result<Outcome<HashSet<u64>>, ReconError> {
-            let config = ReactorConfig::default();
-            let mut outcome = None;
-            let mut alice_closed = false;
-            drive_endpoint(endpoint, &config, |endpoint| {
-                if outcome.is_none() {
-                    if let Some(done) = endpoint.take_outcome::<HashSet<u64>>(bob_session) {
-                        outcome = Some(done?);
-                    }
-                }
-                if !alice_closed && endpoint.is_finished(alice_session) == Some(true) {
-                    endpoint.close(alice_session);
-                    alice_closed = true;
-                }
-                Ok(outcome.is_some() && alice_closed)
-            })?;
-            Ok(outcome.expect("drive returned with the outcome present"))
-        }
-
-        std::thread::scope(|scope| {
-            let acceptor = scope.spawn(move || -> Result<Outcome<HashSet<u64>>, ReconError> {
-                let (stream, _) = listener.accept().map_err(|e| io_err("accept", e))?;
-                stream.set_nonblocking(true).map_err(|e| io_err("nonblock", e))?;
-                stream.set_nodelay(true).map_err(|e| io_err("nodelay", e))?;
-                let reader = stream.try_clone().map_err(|e| io_err("clone", e))?;
-                let mut end_j: TcpEndpoint = Endpoint::new(StreamTransport::new(reader, stream));
-                end_j.register(PUSH, Role::Bob, bob_j)?;
-                end_j.register(PULL, Role::Alice, alice_j)?;
-                drive_side(&mut end_j, PUSH, PULL)
-            });
-            let for_i = (|| {
-                let mut end_i = connect_endpoint(addr)?;
-                end_i.register(PUSH, Role::Alice, alice_i)?;
-                end_i.register(PULL, Role::Bob, bob_i)?;
-                drive_side(&mut end_i, PULL, PUSH)
-            })();
-            if for_i.is_err() {
-                // Unblock the acceptor if it never saw our connection.
-                let _ = std::net::TcpStream::connect(addr);
-            }
-            let for_j = acceptor
-                .join()
-                .map_err(|_| ReconError::Transport("gossip acceptor panicked".into()))?;
-            // Prefer the acceptor's error: a connector failure is usually
-            // its consequence (the peer tore the stream down).
-            match (for_i, for_j) {
-                (for_i, Ok(for_j)) => Ok((for_i?, for_j)),
-                (_, Err(e)) => Err(e),
-            }
-        })
     }
 }
 
@@ -274,8 +182,12 @@ impl FleetRunner for GossipRunner {
         for (i, j) in self.pairs_for_round(round) {
             let d = self.pair_bound(i, j)?;
             let (for_i, for_j) = self.exchange(i, j, d)?;
-            self.members[i].lock().expect("member lock").absorb(for_i.recovered);
-            self.members[j].lock().expect("member lock").absorb(for_j.recovered);
+            for (member, recovered) in [(i, for_i.recovered), (j, for_j.recovered)] {
+                let replica = Arc::make_mut(&mut self.members[member]);
+                for key in recovered {
+                    replica.insert(key);
+                }
+            }
             self.ledger.record([i, j], &for_j.stats);
             self.ledger.record([i, j], &for_i.stats);
         }
@@ -283,10 +195,7 @@ impl FleetRunner for GossipRunner {
     }
 
     fn converged(&mut self) -> Result<bool, ReconError> {
-        let mut states = self.members.iter().map(|member| {
-            let member = member.lock().expect("member lock");
-            (member.set_hash(), member.len())
-        });
+        let mut states = self.members.iter().map(|member| (member.set_hash(), member.len()));
         let first = match states.next() {
             Some(first) => first,
             None => return Ok(true),

@@ -15,9 +15,15 @@
 //!   the spoke count. Converges in two rounds for a static fleet, but
 //!   concentrates every wire byte on the hub.
 //! * **Gossip** ([`GossipRunner`]) — deterministic seeded rounds of random
-//!   pairwise exchanges (in-process or over real TCP), each a bidirectional
-//!   pair of cached-bank sessions. Takes `O(log n)` rounds whp, but spreads
-//!   the bytes evenly and has no distinguished party.
+//!   pairwise exchanges, each a bidirectional pair of cached-bank sessions
+//!   driven in-process. Takes `O(log n)` rounds whp, but spreads the bytes
+//!   evenly and has no distinguished party.
+//!
+//! Every replica in either topology is a plain [`recon_store::Replica`], and
+//! every cached-bank session is served by
+//! [`Replica::digest_envelope`](recon_store::Replica::digest_envelope) — the
+//! rule the daemon serves by — so fleet sessions are byte-identical to cold
+//! two-party sessions at every attempt.
 //!
 //! [`FleetStats`] aggregates the per-session
 //! [`CommStats`](recon_base::comm::CommStats) the protocol layer already
@@ -29,12 +35,10 @@
 #![warn(missing_docs)]
 
 pub mod gossip;
-pub mod member;
 pub mod star;
 pub mod stats;
 
-pub use gossip::{GossipConfig, GossipRunner, GossipTransport};
-pub use member::Member;
+pub use gossip::{GossipConfig, GossipRunner};
 pub use star::{StarConfig, StarFleet};
 pub use stats::{FleetStats, RoundStats};
 

@@ -14,15 +14,16 @@
 //! with an `Insert`, close. After one round the master holds the union of
 //! everything; after two, every spoke does — star convergence is two rounds
 //! for any static fleet. Spokes can run the round concurrently
-//! ([`StarConfig::spoke_threads`]) against the multi-worker hub.
+//! ([`StarConfig::spoke_threads`]) against the multi-worker hub. Each spoke
+//! is a plain [`Replica`] under the master's parameters, so its incremental
+//! set hash is comparable with the hub's.
 
-use crate::member::Member;
 use crate::stats::{FleetStats, Ledger, RoundStats};
 use crate::FleetRunner;
 use recon_base::comm::CommStats;
 use recon_base::ReconError;
 use recon_runtime::ServerStats;
-use recon_store::{SketchStore, StorageBackend, StoreClient, StoreDaemon};
+use recon_store::{Replica, SketchStore, StorageBackend, StoreClient, StoreDaemon};
 use std::collections::HashSet;
 use std::net::SocketAddr;
 
@@ -47,11 +48,11 @@ impl Default for StarConfig {
     }
 }
 
-/// A star fleet: hub daemon + spoke members. See the module docs.
+/// A star fleet: hub daemon + spoke replicas. See the module docs.
 pub struct StarFleet<B: StorageBackend> {
     daemon: StoreDaemon<B>,
     config: StarConfig,
-    spokes: Vec<Member>,
+    spokes: Vec<Replica>,
     /// Ledger replica indices: spokes `0..n`, hub `n`.
     ledger: Ledger,
 }
@@ -78,7 +79,13 @@ impl<B: StorageBackend + 'static> StarFleet<B> {
         setup.close()?;
         let spokes = spoke_sets
             .into_iter()
-            .map(|set| Member::from_keys(params.clone(), set))
+            .map(|set| {
+                let mut spoke = Replica::new(params.clone())?;
+                for key in set {
+                    spoke.insert(key);
+                }
+                Ok(spoke)
+            })
             .collect::<Result<Vec<_>, ReconError>>()?;
         let ledger = Ledger::new(spokes.len() + 1);
         Ok(Self { daemon, config, spokes, ledger })
@@ -140,16 +147,18 @@ impl<B: StorageBackend + 'static> StarFleet<B> {
 fn spoke_round(
     addr: SocketAddr,
     master: &str,
-    member: &mut Member,
+    spoke: &mut Replica,
     d_bound: Option<u64>,
 ) -> Result<CommStats, ReconError> {
     let mut client = StoreClient::connect(addr)?;
-    let report = client.reconcile(master, member.keys(), d_bound)?;
-    let delta: Vec<u64> = member.keys().difference(&report.recovered).copied().collect();
+    let report = client.reconcile(master, spoke.keys(), d_bound)?;
+    let delta: Vec<u64> = spoke.keys().difference(&report.recovered).copied().collect();
     if !delta.is_empty() {
         client.insert(master, &delta)?;
     }
-    member.absorb(report.recovered);
+    for key in report.recovered {
+        spoke.insert(key);
+    }
     client.close()?;
     Ok(report.stats)
 }
@@ -181,7 +190,7 @@ impl<B: StorageBackend + 'static> FleetRunner for StarFleet<B> {
                         scope.spawn(move || {
                             spokes
                                 .iter_mut()
-                                .map(|member| spoke_round(addr, &master, member, d_bound))
+                                .map(|spoke| spoke_round(addr, &master, spoke, d_bound))
                                 .collect::<Result<Vec<_>, ReconError>>()
                         })
                     })

@@ -887,7 +887,9 @@ impl Iblt {
         let key_bytes = read_uvarint(buf)? as usize;
         let hash_count = read_uvarint(buf)? as usize;
         let cell_count = read_uvarint(buf)? as usize;
-        if key_bytes == 0 || hash_count == 0 {
+        // As in `decode`: the remaining-length check below bounds the cell
+        // count, and this bounds the hash plan's seed allocation by it.
+        if key_bytes == 0 || hash_count == 0 || hash_count > cell_count {
             return Err(WireError::Invalid("IBLT bank header"));
         }
         let seed = u64::decode(buf)?;
@@ -1360,6 +1362,12 @@ mod tests {
         payload.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(payload.len(), 16);
         assert!(matches!(Iblt::from_bytes(&payload), Err(WireError::Invalid("IBLT header"))));
+        // The snapshot loader's bank header has the same fields and layout.
+        let mut bank = &payload[..];
+        assert!(matches!(
+            Iblt::decode_bank(&mut bank),
+            Err(WireError::Invalid("IBLT bank header"))
+        ));
     }
 
     #[test]

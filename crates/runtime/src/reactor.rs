@@ -64,8 +64,8 @@ pub struct ReactorConfig {
     /// never retries — a failed connection is handed back through
     /// [`Reactor::take_finished`] — but [`RetryPolicy::attempt_deadline`],
     /// when set, overrides `session_deadline` as the per-attempt time budget,
-    /// and callers like [`drive_endpoint_with_retry`] re-run retryable
-    /// failures ([`ReconError::is_retryable`]) under this policy.
+    /// and clients like `recon_store::StoreClient` re-run retryable failures
+    /// ([`ReconError::is_retryable`]) on a fresh connection under this policy.
     pub retry: RetryPolicy,
 }
 
@@ -504,27 +504,6 @@ pub fn drive_endpoint<T: Transport + Pollable>(
     }
 }
 
-/// [`drive_endpoint`] under [`ReactorConfig::retry`]: each attempt gets a
-/// fresh endpoint from `make` (a new connection with fresh parties — sessions
-/// are stateful and cannot be resumed mid-protocol), bounded by
-/// [`ReactorConfig::effective_deadline`]. Retryable failures
-/// ([`ReconError::is_retryable`]: lost peers, corrupt frames, stuck or
-/// timed-out sessions) are re-run with exponential backoff; anything else —
-/// and exhaustion of the attempt budget — returns the last error. On success
-/// the attempt's endpoint is handed back for accounting, alongside how many
-/// attempts it took (1 = first try).
-pub fn drive_endpoint_with_retry<T: Transport + Pollable>(
-    config: &ReactorConfig,
-    mut make: impl FnMut(u32) -> Result<Endpoint<T>, ReconError>,
-    mut until: impl FnMut(&mut Endpoint<T>) -> Result<bool, ReconError>,
-) -> Result<(Endpoint<T>, u32), ReconError> {
-    recon_base::run_with_retry(&config.retry, |attempt| {
-        let mut endpoint = make(attempt)?;
-        drive_endpoint(&mut endpoint, config, &mut until)?;
-        Ok((endpoint, attempt + 1))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,66 +715,6 @@ mod tests {
         }
         // Fail-fast means an error now, not a 30s deadline (or a spin) later.
         assert!(started.elapsed() < Duration::from_secs(5), "did not fail fast");
-    }
-
-    #[test]
-    fn drive_endpoint_with_retry_survives_a_dropped_first_connection() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-
-        let server = std::thread::spawn(move || {
-            // First connection: hang up before the session exchanges anything.
-            let (first, _) = listener.accept().expect("accept");
-            drop(first);
-            // Second connection: serve the session properly.
-            let (stream, _) = listener.accept().expect("accept");
-            stream.set_nonblocking(true).expect("nonblock");
-            let reader = stream.try_clone().expect("clone");
-            let mut endpoint = Endpoint::new(StreamTransport::new(reader, stream));
-            let (alice, _) = chatty_pair(5, 1);
-            endpoint.register(0, Role::Alice, alice).unwrap();
-            let mut reactor = Reactor::new(ReactorConfig::default()).unwrap();
-            reactor.insert(endpoint).unwrap();
-            while !reactor.is_empty() {
-                reactor
-                    .turn(Some(Duration::from_millis(20)), |_, endpoint| {
-                        endpoint.close_finished();
-                    })
-                    .unwrap();
-            }
-        });
-
-        let config = ReactorConfig {
-            retry: RetryPolicy::default()
-                .backoff(Duration::from_millis(5))
-                .attempt_deadline(Duration::from_secs(10)),
-            ..ReactorConfig::default()
-        };
-        let mut outcome = None;
-        let (_endpoint, attempts) = drive_endpoint_with_retry(
-            &config,
-            |_attempt| {
-                let stream = TcpStream::connect(addr)
-                    .map_err(|e| ReconError::Transport(format!("connect: {e}")))?;
-                stream.set_nonblocking(true).expect("nonblock");
-                let reader = stream.try_clone().expect("clone");
-                let mut endpoint = Endpoint::new(StreamTransport::new(reader, stream));
-                let (_, bob) = chatty_pair(5, 1);
-                endpoint.register(0, Role::Bob, bob).unwrap();
-                Ok(endpoint)
-            },
-            |endpoint| {
-                if let Some(result) = endpoint.take_outcome::<u64>(0) {
-                    outcome = Some(result?);
-                    return Ok(true);
-                }
-                Ok(false)
-            },
-        )
-        .expect("retry recovers");
-        assert_eq!(attempts, 2, "first attempt hit the dropped peer");
-        assert_eq!(outcome.expect("outcome").recovered, 6);
-        server.join().expect("server thread");
     }
 
     #[test]

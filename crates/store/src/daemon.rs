@@ -11,14 +11,17 @@
 //!    rung, and queues a job on the connection's shared state;
 //! 2. [`StoreService::on_progress`] (the reactor's post-pump visit) drains the
 //!    queue, registers an [`AmplifiedSender`] Alice on the requested session —
-//!    attempt 0 served from the **cached** bank in `O(d)`, retries rebuilt
-//!    under fresh hash functions — and only then queues the `ReconcileResp`,
-//!    so a client that has the response knows its session is live.
+//!    each attempt served by [`Replica::digest_envelope`](crate::Replica::digest_envelope):
+//!    attempt 0 from the **cached** bank in `O(d)`, retries rebuilt at the
+//!    same rung under fresh hash functions — and only then queues the
+//!    `ReconcileResp`, so a client that has the response knows its session is
+//!    live.
 //!
-//! The served envelopes reproduce [`iblt_known_alice`]'s byte-for-byte (same
-//! seed chain, same labels, same tag), so the client runs a completely
-//! ordinary [`iblt_known_bob`](recon_set::session::iblt_known_bob) against a
-//! daemon that never pays `O(n)` per session.
+//! The served envelopes reproduce [`iblt_known_alice`]'s byte-for-byte at
+//! every attempt (same seed chain, same bound, same labels, same tag), so the
+//! client runs a completely ordinary
+//! [`iblt_known_bob`](recon_set::session::iblt_known_bob) against a daemon
+//! that never pays `O(n)` for a first attempt.
 //!
 //! [`iblt_known_alice`]: recon_set::session::iblt_known_alice
 
@@ -27,7 +30,6 @@ use recon_protocol::{
     AmplifiedSender, ControlFrame, Envelope, Party, Role, SessionId, Step, CONTROL_SESSION,
 };
 use recon_runtime::{ConnId, Server, ServerConfig, TcpEndpoint, TcpService};
-use recon_set::session::TAG_DIGEST;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
@@ -224,15 +226,7 @@ impl<B: StorageBackend + 'static> TcpService for StoreService<B> {
                 let name = job.name.clone();
                 let d = job.d;
                 let sender = AmplifiedSender::new(job.max_attempts, move |attempt| {
-                    let store = store.lock().expect("store lock");
-                    if attempt == 0 {
-                        // The cached bank: O(d), bit-identical to a fresh build.
-                        let (_, digest) = store.digest(&name, d)?;
-                        Ok(Envelope::round(TAG_DIGEST, "set digest (IBLT)", &digest))
-                    } else {
-                        let digest = store.rebuild_digest(&name, d, attempt)?;
-                        Ok(Envelope::round(TAG_DIGEST, "set digest (replica)", &digest))
-                    }
+                    store.lock().expect("store lock").replica(&name)?.digest_envelope(d, attempt)
                 });
                 let response = match sender
                     .and_then(|party| endpoint.register(job.session, Role::Alice, party))

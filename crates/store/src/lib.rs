@@ -28,7 +28,9 @@
 //!
 //! Daemon-served sessions reproduce the byte-exact envelopes, outcomes and
 //! `CommStats` of a cold [`SessionBuilder`](recon_protocol::SessionBuilder)
-//! run over the same sets — the sketches are maintained, not approximated.
+//! run over the same sets at every attempt — the sketches are maintained, not
+//! approximated, and [`Replica::digest_envelope`] is the one rule a served
+//! attempt is built by.
 //!
 //! [`StrataEstimator`]: recon_estimator::StrataEstimator
 

@@ -13,6 +13,12 @@
 //! to a from-scratch build over the current keys — which is what lets the
 //! daemon serve [`SetDigest`]s indistinguishable from
 //! [`IbltSetProtocol::digest`] without ever paying its `O(n)`.
+//!
+//! [`Replica::digest_envelope`] is the one rule every cached sender (the
+//! daemon's and the gossip fleet's) serves a session attempt by, so a served
+//! session is byte-identical to a cold
+//! [`iblt_known_alice`](recon_set::session::iblt_known_alice) one, retries
+//! included.
 
 use recon_base::hash::SetHasher;
 use recon_base::rng::split_seed;
@@ -20,7 +26,8 @@ use recon_base::wire::{read_uvarint, write_uvarint, Decode, Encode, WireError};
 use recon_base::ReconError;
 use recon_estimator::{L0Config, Side, StrataConfig, StrataEstimator};
 use recon_iblt::Iblt;
-use recon_protocol::{Amplification, SessionConfig};
+use recon_protocol::{Amplification, Envelope, SessionConfig};
+use recon_set::session::TAG_DIGEST;
 use recon_set::{IbltSetProtocol, SetDigest};
 use std::collections::HashSet;
 
@@ -36,7 +43,8 @@ pub struct ReplicaParams {
     /// Ascending difference-bound rungs; one IBLT bank is maintained per rung.
     pub ladder: Vec<usize>,
     /// Replication budget for amplified sessions (attempt 0 is served from the
-    /// cached bank; retries rebuild under fresh hash functions).
+    /// cached bank; retries rebuild at the same rung under fresh hash
+    /// functions, see [`Replica::digest_envelope`]).
     pub max_attempts: u64,
 }
 
@@ -217,11 +225,25 @@ impl Replica {
         Some((rung, digest))
     }
 
-    /// Build the digest for retry `attempt` (≥ 1) from scratch under that
-    /// attempt's fresh hash functions — the rare amplification path; counted
-    /// by [`recon_set::full_digest_builds`].
-    pub fn rebuild_digest(&self, d: usize, attempt: u64) -> SetDigest {
-        self.params.protocol_for_attempt(attempt).digest(&self.keys, d)
+    /// The digest envelope of amplification `attempt` for difference bound
+    /// `d`, with the tag and labels of
+    /// [`iblt_known_alice`](recon_set::session::iblt_known_alice). Attempt 0
+    /// clones the maintained bank of the rung covering `d`; a retry rebuilds
+    /// at that same rung under [`ReplicaParams::protocol_for_attempt`] — the
+    /// rare path, counted by [`recon_set::full_digest_builds`]. A session
+    /// served by this rule at `d` = the rung is byte-identical to a cold one
+    /// at every attempt. Fails if `d` exceeds the ladder.
+    pub fn digest_envelope(&self, d: usize, attempt: u64) -> Result<Envelope, ReconError> {
+        let rung = self.params.rung_for(d).ok_or(ReconError::DifferenceBoundTooSmall {
+            bound: *self.params.ladder.last().expect("non-empty ladder"),
+        })?;
+        let (label, digest) = if attempt == 0 {
+            ("set digest (IBLT)", self.digest(rung).expect("rung in ladder").1)
+        } else {
+            let protocol = self.params.protocol_for_attempt(attempt);
+            ("set digest (replica)", protocol.digest(&self.keys, rung))
+        };
+        Ok(Envelope::round(TAG_DIGEST, label, &digest))
     }
 
     /// Estimate the difference against a client's B-side estimator and pick
@@ -229,11 +251,21 @@ impl Replica {
     /// (the same headroom as [`recon_set::session::unknown_alice`]), falling
     /// back to the largest rung when the estimate exceeds the ladder.
     pub fn estimate_bound(&self, client: &StrataEstimator) -> Result<(usize, usize), ReconError> {
-        let estimate = self.strata.merge(client)?.estimate();
+        Ok(self.covering_rung(self.strata.merge(client)?.estimate()))
+    }
+
+    /// [`Replica::estimate_bound`] against another replica of the same
+    /// parameters, from the two maintained A-side estimators: subtracting the
+    /// peer's equals merging with its B-side one. Symmetric in the pair.
+    pub fn estimate_bound_with(&self, peer: &Replica) -> Result<(usize, usize), ReconError> {
+        Ok(self.covering_rung(self.strata.subtract(&peer.strata)?.estimate()))
+    }
+
+    fn covering_rung(&self, estimate: usize) -> (usize, usize) {
         let bound = (estimate * 2).max(8);
         let rung =
             self.params.rung_for(bound).unwrap_or(*self.params.ladder.last().expect("non-empty"));
-        Ok((estimate, rung))
+        (estimate, rung)
     }
 
     /// Serialize the full replica state: parameters, sorted keys, the
@@ -270,6 +302,10 @@ impl Replica {
         }
         let params = ReplicaParams::decode(&mut buf).map_err(ReconError::Wire)?;
         let n = read_uvarint(&mut buf).map_err(ReconError::Wire)? as usize;
+        // Every key takes 8 bytes: bound the reservation by the input.
+        if n > buf.len() / 8 {
+            return Err(ReconError::Wire(WireError::UnexpectedEnd));
+        }
         let mut keys = HashSet::with_capacity(n);
         for _ in 0..n {
             keys.insert(u64::decode(&mut buf).map_err(ReconError::Wire)?);
@@ -302,10 +338,18 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{MemoryBackend, StorageBackend};
+    use crate::store::{SketchStore, StoreConfig};
     use recon_base::rng::Xoshiro256;
 
     fn params() -> ReplicaParams {
         ReplicaParams { seed: 0xC0FFEE, ladder: vec![8, 32, 128], max_attempts: 4 }
+    }
+
+    fn replica_of(keys: std::ops::Range<u64>) -> Replica {
+        let mut replica = Replica::new(params()).unwrap();
+        keys.for_each(|key| assert!(replica.insert(key)));
+        replica
     }
 
     fn churned_replica(n: usize, seed: u64) -> Replica {
@@ -363,9 +407,19 @@ mod tests {
 
     #[test]
     fn rebuild_digest_matches_session_retry_protocol() {
+        // Every attempt is built at the rung covering 20, like a cold session
+        // at d = 32.
         let replica = churned_replica(200, 5);
-        let fresh = replica.params().protocol_for_attempt(2).digest(replica.keys(), 32);
-        assert_eq!(replica.rebuild_digest(32, 2).to_bytes(), fresh.to_bytes());
+        for attempt in 0..3 {
+            let fresh = replica.params().protocol_for_attempt(attempt).digest(replica.keys(), 32);
+            let served = replica.digest_envelope(20, attempt).unwrap();
+            assert_eq!(served.tag, TAG_DIGEST);
+            assert_eq!(served.payload, fresh.to_bytes(), "attempt {attempt}");
+        }
+        assert!(matches!(
+            replica.digest_envelope(129, 1),
+            Err(ReconError::DifferenceBoundTooSmall { bound: 128 })
+        ));
     }
 
     #[test]
@@ -410,6 +464,46 @@ mod tests {
         bytes.push(0);
         assert!(Replica::decode_snapshot(&bytes).is_err());
         assert!(Replica::decode_snapshot(&[9, 9, 9]).is_err());
+
+        // Version ‖ params ‖ a key count of 2^40, and nothing after: 18 bytes
+        // that used to reserve ~20 TB and abort the process — and with it any
+        // store opening a backend that holds the file.
+        let mut crafted = vec![SNAPSHOT_VERSION];
+        ReplicaParams { seed: 1, ladder: vec![8], max_attempts: 1 }.encode(&mut crafted);
+        write_uvarint(&mut crafted, 1 << 40);
+        assert_eq!(crafted.len(), 18);
+        assert!(Replica::decode_snapshot(&crafted).is_err());
+        let mut backend = MemoryBackend::new();
+        backend.write_atomic("crafted.snap", &crafted).unwrap();
+        assert!(SketchStore::open(backend, StoreConfig::default()).is_err());
+    }
+
+    #[test]
+    fn equal_sets_have_equal_hashes_regardless_of_history() {
+        let a = replica_of(0..100);
+        let mut b = replica_of(50..150);
+        for key in 0..50 {
+            b.insert(key);
+        }
+        for key in 100..150 {
+            b.remove(key);
+        }
+        assert_eq!(a.set_hash(), b.set_hash());
+        assert_ne!(replica_of(0..99).set_hash(), a.set_hash());
+    }
+
+    #[test]
+    fn estimate_bound_is_symmetric_and_covers_the_difference() {
+        let (a, b) = (replica_of(0..500), replica_of(10..505)); // diff = 15
+        let (est_ab, rung_ab) = a.estimate_bound_with(&b).unwrap();
+        let (est_ba, rung_ba) = b.estimate_bound_with(&a).unwrap();
+        assert_eq!(est_ab, est_ba, "strata subtraction is symmetric");
+        assert_eq!(rung_ab, rung_ba);
+        assert!(params().ladder.contains(&rung_ab));
+        // The A-side pair estimate equals the client-facing B-side one.
+        let mut b_side = StrataEstimator::new(&params().strata_config());
+        b.keys().iter().for_each(|&key| b_side.update(key, Side::B));
+        assert_eq!(a.estimate_bound(&b_side).unwrap(), (est_ab, rung_ab));
     }
 
     #[test]

@@ -315,7 +315,7 @@ impl<B: StorageBackend> SketchStore<B> {
         Ok(self.slot(name)?.replica.params().clone())
     }
 
-    /// The key set of replica `name` (tests and retry rebuilds).
+    /// The key set of replica `name`.
     pub fn keys(&self, name: &str) -> Result<&std::collections::HashSet<u64>, ReconError> {
         Ok(self.slot(name)?.replica.keys())
     }
@@ -329,14 +329,10 @@ impl<B: StorageBackend> SketchStore<B> {
         })
     }
 
-    /// Build a retry digest (attempt ≥ 1) for `name` from scratch.
-    pub fn rebuild_digest(
-        &self,
-        name: &str,
-        d: usize,
-        attempt: u64,
-    ) -> Result<SetDigest, ReconError> {
-        Ok(self.slot(name)?.replica.rebuild_digest(d, attempt))
+    /// The replica `name` itself, e.g. to serve a session attempt with
+    /// [`Replica::digest_envelope`].
+    pub fn replica(&self, name: &str) -> Result<&Replica, ReconError> {
+        Ok(&self.slot(name)?.replica)
     }
 
     /// Estimate the difference between `name` and a client's B-side strata

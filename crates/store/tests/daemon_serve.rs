@@ -3,10 +3,14 @@
 //! recovered set, `CommStats`, wire bytes — to a cold one-shot session over
 //! the same data, without ever rebuilding a digest from scratch.
 
+use recon_base::RetryPolicy;
 use recon_set::full_digest_builds;
 use recon_set::session::{iblt_known_alice, iblt_known_bob};
 use recon_store::{MemoryBackend, SketchStore, StoreClient, StoreConfig, StoreDaemon};
 use std::collections::HashSet;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn daemon_config() -> StoreConfig {
     StoreConfig::default().with_seed(0xDAE0).with_ladder(vec![16, 64, 256])
@@ -82,6 +86,111 @@ fn daemon_serves_byte_identical_sessions_without_rebuilds() {
     assert_eq!(stats.failed, 0, "{stats:?}");
     let store = store.expect("all handles released");
     assert_eq!(store.keys("events").unwrap(), &replica_keys);
+
+    // A bound tight enough that the session needs a retry (15 differences at
+    // the 8 rung; this seed's first digest fails to peel): the served retry is
+    // rebuilt at the same rung, byte-identical to the cold session's.
+    let config = StoreConfig::default().with_seed(0xDAEA).with_ladder(vec![8, 32]);
+    let daemon = StoreDaemon::bind(
+        "127.0.0.1:0",
+        SketchStore::open(MemoryBackend::new(), config).unwrap(),
+        1,
+    )
+    .unwrap();
+    let mut client = StoreClient::connect(daemon.local_addr()).unwrap();
+    let params = client.open("retry").unwrap();
+    let replica_keys: HashSet<u64> = keys[..500].iter().copied().collect();
+    client.insert("retry", &keys[..500]).unwrap();
+    let local: HashSet<u64> = keys[10..505].iter().copied().collect();
+    let report = client.reconcile("retry", &local, Some(8)).unwrap();
+    assert_eq!((report.recovered, report.d), (replica_keys.clone(), 8));
+    let config = params.session_config();
+    let cold = recon_protocol::SessionBuilder::new(params.seed)
+        .amplification(config.amplification)
+        .run(iblt_known_alice(&replica_keys, 8, &config).unwrap(), iblt_known_bob(&local, &config))
+        .unwrap();
+    assert_eq!(cold.stats.messages, 2, "the cold session needs exactly one retry");
+    assert_eq!(report.stats, cold.stats, "a served retry must equal the cold one");
+    client.close().unwrap();
+    daemon.shutdown();
+}
+
+/// A loopback proxy in front of a daemon: it hangs up on the first
+/// connection it accepts and forwards every later one, and [`Proxy::cut`]
+/// hangs up on every connection forwarded so far.
+struct Proxy {
+    addr: SocketAddr,
+    forwarded: Arc<Mutex<Vec<TcpStream>>>,
+}
+
+impl Proxy {
+    fn start(target: SocketAddr) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let forwarded = Arc::new(Mutex::new(Vec::new()));
+        let live = Arc::clone(&forwarded);
+        std::thread::spawn(move || {
+            // The first connection is dropped unanswered.
+            drop(listener.accept().unwrap());
+            for client in listener.incoming() {
+                let client = client.unwrap();
+                let upstream = TcpStream::connect(target).unwrap();
+                // Registered before any byte is forwarded, so a reply the
+                // client sees implies its connection is listed here.
+                live.lock()
+                    .unwrap()
+                    .extend([client.try_clone().unwrap(), upstream.try_clone().unwrap()]);
+                for (mut from, mut to) in [
+                    (client.try_clone().unwrap(), upstream.try_clone().unwrap()),
+                    (upstream, client),
+                ] {
+                    std::thread::spawn(move || {
+                        let _ = std::io::copy(&mut from, &mut to);
+                        let _ = to.shutdown(Shutdown::Write);
+                    });
+                }
+            }
+        });
+        Self { addr, forwarded }
+    }
+
+    fn cut(&self) {
+        for stream in self.forwarded.lock().unwrap().drain(..) {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// `StoreClient::set_retry_policy` survives lost connections: `open` meets a
+/// connection the proxy drops and succeeds on a fresh one, and `reconcile`
+/// does the same after the proxy cuts that one.
+#[test]
+fn store_client_retry_survives_a_dropped_first_connection() {
+    let store = SketchStore::open(MemoryBackend::new(), daemon_config()).unwrap();
+    let daemon = StoreDaemon::bind("127.0.0.1:0", store, 1).unwrap();
+    let keys: Vec<u64> = (0..400).collect();
+    let mut setup = StoreClient::connect(daemon.local_addr()).unwrap();
+    setup.open("flaky").unwrap();
+    setup.insert("flaky", &keys).unwrap();
+    setup.close().unwrap();
+
+    let proxy = Proxy::start(daemon.local_addr());
+    let mut client = StoreClient::connect(proxy.addr).unwrap();
+    client.set_retry_policy(
+        RetryPolicy::with_attempts(2)
+            .backoff(Duration::from_millis(5))
+            .attempt_deadline(Duration::from_secs(10)),
+    );
+    client.open("flaky").expect("open succeeds on the second connection");
+    assert_eq!(proxy.forwarded.lock().unwrap().len(), 2, "one forwarded connection");
+
+    proxy.cut();
+    let local: HashSet<u64> = keys[5..].iter().copied().collect();
+    let report = client.reconcile("flaky", &local, Some(16)).expect("reconcile retries");
+    assert_eq!(report.recovered, keys.iter().copied().collect());
+    assert_eq!(proxy.forwarded.lock().unwrap().len(), 2, "a fresh forwarded connection");
+    client.close().unwrap();
+    daemon.shutdown();
 }
 
 #[test]

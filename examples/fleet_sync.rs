@@ -5,15 +5,13 @@
 //! [`CommStats`].
 //!
 //! Run with: `cargo run -p recon-examples --release --example fleet_sync`
-//! (optionally `-- star`, `-- gossip`, or `-- gossip-tcp` to run one
-//! topology; `RECON_RUNTIME_FORCE_POLL=1` exercises the `poll(2)` backend
-//! for the TCP paths).
+//! (optionally `-- star` or `-- gossip` to run one topology;
+//! `RECON_RUNTIME_FORCE_POLL=1` exercises the `poll(2)` backend for the
+//! star's TCP path).
 //!
 //! [`CommStats`]: recon_base::CommStats
 
-use recon_fleet::{
-    FleetRunner, FleetStats, GossipConfig, GossipRunner, GossipTransport, StarConfig, StarFleet,
-};
+use recon_fleet::{FleetRunner, FleetStats, GossipConfig, GossipRunner, StarConfig, StarFleet};
 use recon_set::full_digest_builds;
 use recon_store::{MemoryBackend, SketchStore, StoreConfig};
 use std::collections::HashSet;
@@ -96,12 +94,8 @@ fn star() {
 
 /// Gossip: seeded random pairwise sessions, no coordinator, until every
 /// member's set hash agrees.
-fn gossip(transport: GossipTransport) {
-    let wire = match transport {
-        GossipTransport::Memory => "in-process memory pipes",
-        GossipTransport::Tcp => "real TCP sockets",
-    };
-    println!("── gossip: {GOSSIPERS} replicas over {wire} ──");
+fn gossip() {
+    println!("── gossip: {GOSSIPERS} replicas over in-process memory pipes ──");
     let shared: Vec<u64> = (0..400).map(key).collect();
     let sets: Vec<HashSet<u64>> = (0..GOSSIPERS)
         .map(|m| {
@@ -116,12 +110,8 @@ fn gossip(transport: GossipTransport) {
         expected.extend(set);
     }
 
-    let config = GossipConfig {
-        seed: 0x6055,
-        ladder: vec![16, 64, 256],
-        transport,
-        ..GossipConfig::default()
-    };
+    let config =
+        GossipConfig { seed: 0x6055, ladder: vec![16, 64, 256], ..GossipConfig::default() };
     let mut fleet = GossipRunner::new(config, sets).expect("build gossip fleet");
     let stats = fleet.run_to_convergence(12).expect("gossip convergence");
     print_stats("gossip", &stats);
@@ -143,15 +133,13 @@ fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "all".into());
     match mode.as_str() {
         "star" => star(),
-        "gossip" => gossip(GossipTransport::Memory),
-        "gossip-tcp" => gossip(GossipTransport::Tcp),
+        "gossip" => gossip(),
         "all" => {
             star();
-            gossip(GossipTransport::Memory);
-            gossip(GossipTransport::Tcp);
+            gossip();
         }
         other => {
-            eprintln!("unknown mode {other:?}: use star | gossip | gossip-tcp | all");
+            eprintln!("unknown mode {other:?}: use star | gossip | all");
             std::process::exit(2);
         }
     }

@@ -3,9 +3,7 @@
 //! topologies, with wire accounting aggregated from ordinary per-session
 //! `CommStats`.
 
-use recon_fleet::{
-    FleetRunner, GossipConfig, GossipRunner, GossipTransport, StarConfig, StarFleet,
-};
+use recon_fleet::{FleetRunner, GossipConfig, GossipRunner, StarConfig, StarFleet};
 use recon_set::full_digest_builds;
 use recon_set::session::{iblt_known_alice, iblt_known_bob};
 use recon_store::{MemoryBackend, SketchStore, StoreConfig};
@@ -196,84 +194,73 @@ fn gossip_converges_under_churn_between_rounds() {
     }
 }
 
-/// The same small fleet over real TCP sockets and over in-process memory
-/// transports: identical schedules, identical sessions, identical bytes —
-/// the transport is invisible to the protocol layer.
-#[test]
-fn gossip_tcp_is_byte_identical_to_memory() {
-    let build_sets = || -> Vec<HashSet<u64>> {
-        (0..8u64)
-            .map(|m| {
-                let mut set: HashSet<u64> = (0..400).map(key).collect();
-                for u in 0..6 {
-                    set.insert(key(5_000_000 + 6 * m + u));
-                }
-                set
-            })
-            .collect()
-    };
-    let config = |transport| GossipConfig {
-        seed: 0x7C9,
-        ladder: vec![16, 64, 256],
-        transport,
-        ..GossipConfig::default()
-    };
-
-    let mut memory = GossipRunner::new(config(GossipTransport::Memory), build_sets()).unwrap();
-    let memory_stats = memory.run_to_convergence(12).unwrap();
-
-    let mut tcp = GossipRunner::new(config(GossipTransport::Tcp), build_sets()).unwrap();
-    let tcp_stats = tcp.run_to_convergence(12).unwrap();
-
-    assert_eq!(tcp_stats, memory_stats, "transport must not change a single charged byte");
-    for m in 0..8 {
-        assert_eq!(tcp.set_hash(m), memory.set_hash(m));
-        assert_eq!(tcp.keys(m), memory.keys(m));
-    }
-}
-
 /// `FleetStats.total_bytes` is exactly the sum of per-session `CommStats`:
 /// one fleet round of a two-member fleet must cost precisely two cold
-/// two-party sessions' bytes, measured independently by `SessionBuilder`.
+/// two-party sessions' bytes, measured independently by `SessionBuilder` —
+/// also when the bound is tight enough that both sessions need a retry,
+/// which the fleet must rebuild at the same bound as a cold session does.
 #[test]
 fn fleet_bytes_equal_cold_session_comm_stats() {
     let set_a: HashSet<u64> = (0..500).map(key).collect();
-    let set_b: HashSet<u64> = (10..505).map(key).collect();
+    let set_b: HashSet<u64> = (10..505).map(key).collect(); // 15 differences
 
+    // (fleet seed, ladder, bound, digests per cold session)
+    for (seed, ladder, d, attempts) in
+        [(0xB17E5, vec![32, 128], 32, 1), (0xB17F0, vec![8, 32], 8, 2)]
+    {
+        let config = GossipConfig { seed, ladder, d_bound: Some(d), ..GossipConfig::default() };
+        let mut fleet = GossipRunner::new(config, [set_a.clone(), set_b.clone()]).unwrap();
+        let params = fleet.params().clone();
+        let round = fleet.run_round().unwrap();
+        assert_eq!(round.sessions, 2);
+        assert!(fleet.converged().unwrap());
+
+        // The independent meter: cold sessions over the same sets, same seed,
+        // same effective bound (a ladder rung), one per direction.
+        let session_config = params.session_config();
+        let cold = |alice_set: &HashSet<u64>, bob_set: &HashSet<u64>| {
+            recon_protocol::SessionBuilder::new(params.seed)
+                .amplification(session_config.amplification)
+                .run(
+                    iblt_known_alice(alice_set, d, &session_config).unwrap(),
+                    iblt_known_bob(bob_set, &session_config),
+                )
+                .unwrap()
+        };
+        let push = cold(&set_a, &set_b);
+        let pull = cold(&set_b, &set_a);
+        assert_eq!(push.stats.messages, attempts, "seed {seed:#x}");
+        assert_eq!(pull.stats.messages, attempts, "seed {seed:#x}");
+        assert_eq!(
+            round.bytes,
+            (push.stats.total_bytes() + pull.stats.total_bytes()) as u64,
+            "fleet accounting must be the plain sum of session CommStats (seed {seed:#x})"
+        );
+        assert_eq!(fleet.stats().total_bytes, round.bytes);
+
+        let union: HashSet<u64> = set_a.union(&set_b).copied().collect();
+        assert_eq!(fleet.keys(0), union);
+        assert_eq!(fleet.keys(1), union);
+    }
+}
+
+/// A pair whose bound undershoots its difference fails explicitly once the
+/// retry budget is spent: retries rebuild at the same bound, as a cold
+/// session's do, so an undershoot surfaces as an error rather than as a
+/// session sized unlike its cold twin.
+#[test]
+fn gossip_pair_under_its_bound_fails_explicitly() {
+    let set_a: HashSet<u64> = (0..500).map(key).collect();
+    let set_b: HashSet<u64> = (20..520).map(key).collect(); // 40 differences
     let config = GossipConfig {
-        seed: 0xB17E5,
-        ladder: vec![32, 128],
-        d_bound: Some(32),
+        seed: 0xFA11,
+        ladder: vec![8, 32],
+        d_bound: Some(8),
         ..GossipConfig::default()
     };
     let mut fleet = GossipRunner::new(config, [set_a.clone(), set_b.clone()]).unwrap();
-    let params = fleet.params().clone();
-    let round = fleet.run_round().unwrap();
-    assert_eq!(round.sessions, 2);
-    assert!(fleet.converged().unwrap());
-
-    // The independent meter: cold sessions over the same sets, same seed,
-    // same effective bound (the 32 rung), one per direction.
-    let session_config = params.session_config();
-    let cold = |alice_set: &HashSet<u64>, bob_set: &HashSet<u64>| {
-        recon_protocol::SessionBuilder::new(params.seed)
-            .amplification(session_config.amplification)
-            .run(
-                iblt_known_alice(alice_set, 32, &session_config).unwrap(),
-                iblt_known_bob(bob_set, &session_config),
-            )
-            .unwrap()
-    };
-    let push = cold(&set_a, &set_b);
-    let pull = cold(&set_b, &set_a);
-    assert_eq!(
-        round.bytes,
-        (push.stats.total_bytes() + pull.stats.total_bytes()) as u64,
-        "fleet accounting must be the plain sum of session CommStats"
-    );
-    assert_eq!(fleet.stats().total_bytes, round.bytes);
-
-    let union: HashSet<u64> = set_a.union(&set_b).copied().collect();
-    assert_eq!(fleet.keys(0), union);
-    assert_eq!(fleet.keys(1), union);
+    let err = fleet.run_round().unwrap_err();
+    assert!(!err.is_retryable(), "a data-level failure, not a transport one: {err}");
+    assert_eq!(fleet.keys(0), set_a, "a failed exchange changes nothing");
+    assert_eq!(fleet.keys(1), set_b);
 }
